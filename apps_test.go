@@ -23,7 +23,7 @@ type appEvent struct {
 // the group's recorded history.
 func mergedStream(g *Group, id ProcessID) []appEvent {
 	var out []appEvent
-	confs := g.ConfigEvents(id)
+	confs := g.ConfigChanges(id)
 	dels := g.Deliveries(id)
 	ci, di := 0, 0
 	for _, e := range g.History() {

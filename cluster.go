@@ -65,7 +65,7 @@ func (o ObserverFuncs) OnConfigChange(id ProcessID, c ConfigEvent) {
 
 // Cluster is the runtime-independent face of an EVS deployment, implemented
 // by both Group (deterministic simulation) and LiveGroup (real goroutines
-// and wall-clock timers). Code written against Cluster — applications,
+// and wall-clock timers, on any medium). Code written against Cluster — applications,
 // examples, parity tests — runs unchanged on either runtime.
 //
 // Scheduling differs by nature between the runtimes (virtual time versus

@@ -39,8 +39,9 @@ func snapshotNames(s MetricsSnapshot) (counters, gauges, hists []string) {
 }
 
 // TestClusterParityGroupVsLive drives the same scenario through the
-// runtime-independent Cluster interface on both runtimes and checks that
-// what the application observes — delivery sequences, final configuration,
+// runtime-independent Cluster interface on the simulator and on the
+// wall-clock runtime over every medium, and checks that what the
+// application observes — delivery sequences, final configuration,
 // metric vocabulary — is identical.
 func TestClusterParityGroupVsLive(t *testing.T) {
 	payloads := []string{"alpha", "bravo", "charlie"}
@@ -58,78 +59,75 @@ func TestClusterParityGroupVsLive(t *testing.T) {
 	})
 	g.Run(3 * time.Second)
 	defer sim.Close()
-
-	// Live runtime: same scenario under real concurrency.
-	lg := NewLiveGroup(3, nil)
-	var live Cluster = lg
-	defer live.Close()
-	if !lg.WaitOperational(10 * time.Second) {
-		t.Fatal("live group did not form")
-	}
-	for _, p := range payloads {
-		if err := live.Submit(live.IDs()[0], []byte(p), Safe); err != nil {
-			t.Fatalf("live submit %q: %v", p, err)
-		}
-	}
-	for _, id := range lg.IDs() {
-		if !lg.WaitDeliveries(id, len(payloads), 10*time.Second) {
-			t.Fatalf("live %s delivered %d of %d", id, len(live.Deliveries(id)), len(payloads))
-		}
-	}
-
-	// Identical process identifiers.
-	if !reflect.DeepEqual(sim.IDs(), live.IDs()) {
-		t.Fatalf("IDs diverge: sim=%v live=%v", sim.IDs(), live.IDs())
-	}
-
-	// Identical delivery sequences, per process and across runtimes.
-	want := payloads
-	for _, c := range []Cluster{sim, live} {
-		for _, id := range c.IDs() {
-			if got := collectPayloads(c, id); !reflect.DeepEqual(got, want) {
-				t.Errorf("deliveries at %s = %v, want %v", id, got, want)
-			}
-		}
-	}
-
-	// Both runtimes install a final 3-member configuration and report
-	// configuration changes through the same accessor.
-	for _, c := range []Cluster{sim, live} {
-		for _, id := range c.IDs() {
-			ccs := c.ConfigChanges(id)
-			if len(ccs) == 0 {
-				t.Fatalf("%s has no configuration changes", id)
-			}
-			last := ccs[len(ccs)-1].Config
-			if last.Members.Size() != 3 {
-				t.Errorf("%s final config has %d members", id, last.Members.Size())
-			}
-		}
-		if len(c.History()) == 0 {
-			t.Error("empty formal-model history")
-		}
-	}
-
-	// The metric vocabulary must be identical between the runtimes: same
-	// scope names, same counter/gauge/histogram catalogs, so dashboards
-	// and comparisons work series-for-series.
-	sm, lm := sim.Metrics(), live.Metrics()
-	if !reflect.DeepEqual(sm.ProcNames(), lm.ProcNames()) {
-		t.Errorf("scope names diverge: sim=%v live=%v", sm.ProcNames(), lm.ProcNames())
-	}
+	checkParityRun(t, sim, payloads)
+	sm := sim.Metrics()
 	sc, sg, sh := snapshotNames(sm.Total)
-	lc, lgn, lh := snapshotNames(lm.Total)
-	if !reflect.DeepEqual(sc, lc) || !reflect.DeepEqual(sg, lgn) || !reflect.DeepEqual(sh, lh) {
-		t.Error("metric name sets diverge between runtimes")
+
+	for _, network := range []string{"mem", "udp", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			// The same scenario under real concurrency.
+			lg := newLive(t, 3, network)
+			var live Cluster = lg
+			if !lg.WaitOperational(10 * time.Second) {
+				t.Fatal("live group did not form")
+			}
+			for _, p := range payloads {
+				if err := live.Submit(live.IDs()[0], []byte(p), Safe); err != nil {
+					t.Fatalf("live submit %q: %v", p, err)
+				}
+			}
+			for _, id := range lg.IDs() {
+				if !lg.WaitDeliveries(id, len(payloads), 10*time.Second) {
+					t.Fatalf("live %s delivered %d of %d", id, len(live.Deliveries(id)), len(payloads))
+				}
+			}
+			if !reflect.DeepEqual(sim.IDs(), live.IDs()) {
+				t.Fatalf("IDs diverge: sim=%v live=%v", sim.IDs(), live.IDs())
+			}
+			checkParityRun(t, live, payloads)
+
+			// The metric vocabulary must be identical between the
+			// runtimes: same scope names (the "net" medium scope
+			// included), same counter/gauge/histogram catalogs, so
+			// dashboards and comparisons work series-for-series.
+			lm := live.Metrics()
+			if !reflect.DeepEqual(sm.ProcNames(), lm.ProcNames()) {
+				t.Errorf("scope names diverge: sim=%v live=%v", sm.ProcNames(), lm.ProcNames())
+			}
+			lc, lgn, lh := snapshotNames(lm.Total)
+			if !reflect.DeepEqual(sc, lc) || !reflect.DeepEqual(sg, lgn) || !reflect.DeepEqual(sh, lh) {
+				t.Error("metric name sets diverge between runtimes")
+			}
+		})
 	}
-	// Both executions did real protocol work.
-	for _, tot := range []MetricsSnapshot{sm.Total, lm.Total} {
-		if tot.Counters["totem_token_rotations_total"] == 0 {
-			t.Error("no token rotations recorded")
+}
+
+// checkParityRun checks one runtime's side of the parity scenario: every
+// process delivered exactly payloads, ended in a 3-member configuration
+// reported through ConfigChanges, and the execution did protocol work.
+func checkParityRun(t *testing.T, c Cluster, payloads []string) {
+	t.Helper()
+	for _, id := range c.IDs() {
+		if got := collectPayloads(c, id); !reflect.DeepEqual(got, payloads) {
+			t.Errorf("deliveries at %s = %v, want %v", id, got, payloads)
 		}
-		if tot.Counters["totem_msgs_delivered_total"] == 0 {
-			t.Error("no deliveries recorded")
+		ccs := c.ConfigChanges(id)
+		if len(ccs) == 0 {
+			t.Fatalf("%s has no configuration changes", id)
 		}
+		if last := ccs[len(ccs)-1].Config; last.Members.Size() != 3 {
+			t.Errorf("%s final config has %d members", id, last.Members.Size())
+		}
+	}
+	if len(c.History()) == 0 {
+		t.Error("empty formal-model history")
+	}
+	tot := c.Metrics().Total
+	if tot.Counters["totem_token_rotations_total"] == 0 {
+		t.Error("no token rotations recorded")
+	}
+	if tot.Counters["totem_msgs_delivered_total"] == 0 {
+		t.Error("no deliveries recorded")
 	}
 }
 
@@ -205,8 +203,7 @@ func TestNewTopicsAfterStartFails(t *testing.T) {
 // registered observer while concurrently snapshotting metrics and serving
 // the HTTP endpoint — the -race CI step leans on this test.
 func TestLiveGroupObserversAndMetricsUnderRace(t *testing.T) {
-	g := NewLiveGroup(3, nil)
-	defer g.Close()
+	g := newLive(t, 3, "mem")
 	if !g.WaitOperational(10 * time.Second) {
 		t.Fatal("live group did not form")
 	}

@@ -29,6 +29,8 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -83,9 +85,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	d, err := daemon.New(daemon.Config{
-		Self:      model.ProcessID(*id),
-		Peers:     peerMap,
-		Network:   *network,
+		Self: model.ProcessID(*id),
+		Medium: func(h transport.Handler, met *obs.Metrics) (transport.Transport, error) {
+			return transport.Dial(*network, model.ProcessID(*id), peerMap, h, met)
+		},
 		TracePath: *tracePath,
 	})
 	if err != nil {

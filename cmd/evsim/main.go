@@ -48,7 +48,7 @@ func run(name string, seed int64, trace bool) error {
 	fmt.Println("----------------------------------------------------------")
 	for _, id := range g.IDs() {
 		fmt.Printf("%s  configurations:\n", id)
-		for _, ce := range g.ConfigEvents(id) {
+		for _, ce := range g.ConfigChanges(id) {
 			fmt.Printf("    %8.1fms  %s\n", ms(ce.Time), ce.Config)
 		}
 		fmt.Printf("%s  deliveries:\n", id)

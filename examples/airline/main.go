@@ -34,7 +34,7 @@ type office struct {
 // sync replays the process's stream into the replica and broadcasts its
 // reconciliation state messages.
 func (o *office) sync(g *evs.Group) {
-	confs := g.ConfigEvents(o.id)
+	confs := g.ConfigChanges(o.id)
 	dels := g.Deliveries(o.id)
 	type ev struct {
 		conf    *evs.Configuration

@@ -53,7 +53,7 @@ func run() error {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_ = g.Send(id, []byte(fmt.Sprintf("%s#%d", id, i)), evs.Safe)
+				_ = g.Submit(id, []byte(fmt.Sprintf("%s#%d", id, i)), evs.Safe)
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -83,8 +83,8 @@ func run() error {
 	fmt.Printf("%-8s partitioned %v | %v\n", since(start), ids[:2], ids[2:])
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		_ = g.Send(ids[0], []byte("left"), evs.Agreed)
-		_ = g.Send(ids[2], []byte("right"), evs.Agreed)
+		_ = g.Submit(ids[0], []byte("left"), evs.Agreed)
+		_ = g.Submit(ids[2], []byte("right"), evs.Agreed)
 		time.Sleep(10 * time.Millisecond)
 		if has(g, ids[1], "left") && has(g, ids[3], "right") {
 			break

@@ -68,7 +68,7 @@ func run() error {
 	}
 
 	fmt.Println("\nconfiguration history of", ids[0], "(note transitional configurations):")
-	for _, ce := range g.ConfigEvents(ids[0]) {
+	for _, ce := range g.ConfigChanges(ids[0]) {
 		fmt.Printf("  %8.1fms  %s\n", float64(ce.Time.Microseconds())/1000, ce.Config)
 	}
 

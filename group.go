@@ -470,11 +470,7 @@ func (g *Group) DeliveryCount(id ProcessID) uint64 { return g.deliveryCount[id] 
 // reports alongside its throughput.
 func (g *Group) PeakPending() int { return g.cluster.Sched.PeakPending() }
 
-// ConfigEvents returns the configuration changes delivered at a process.
-func (g *Group) ConfigEvents(id ProcessID) []ConfigEvent { return g.confs[id] }
-
-// ConfigChanges returns the configuration changes delivered at a process
-// (the Cluster-interface name for ConfigEvents).
+// ConfigChanges returns the configuration changes delivered at a process.
 func (g *Group) ConfigChanges(id ProcessID) []ConfigEvent { return g.confs[id] }
 
 // Metrics freezes every process's observability scope, plus the "net"

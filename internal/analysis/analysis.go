@@ -5,7 +5,7 @@
 // The repo's correctness story rests on invariants no stock tool can see —
 // deterministic simulator executions, zero-allocation observability hot
 // paths, no-panic error propagation in protocol layers, copy-ownership of
-// wire message slices, and no blocking operations under the live hub's
+// wire message slices, and no blocking operations under the mem hub's
 // locks. Each invariant is encoded as an Analyzer; the cmd/evslint
 // multichecker runs them over every package and fails CI on a violation.
 //

@@ -1,16 +1,18 @@
 // Package lockheld forbids blocking operations while a sync mutex is
-// held, in the live runtime (the root package's LiveGroup and its hub).
-// The live hub fans every broadcast out under its lock; one blocking
-// channel send or network call inside that critical section stalls every
-// process of the group at once, and — because receiver goroutines take
-// the process lock before calling back into the hub — is one hop from a
-// deadlock. The simulator never hits this (it is single-threaded), so
-// only the live runtime carries the invariant.
+// held, in the wall-clock runtime: the root package's LiveGroup, the
+// transports (the in-process MemHub among them) and the daemon. The mem
+// hub fans every broadcast out under its lock; one blocking channel send
+// or network call inside that critical section stalls every process of
+// the group at once, and — because the daemon sends while holding its
+// own lock, and receive goroutines take that lock to deliver — is one
+// hop from a deadlock. The simulator never hits this (it is
+// single-threaded), so only the wall-clock packages carry the
+// invariant.
 //
 // While a sync.Mutex or sync.RWMutex is held the analyzer flags:
 //
 //   - blocking channel sends and receives (a send inside a select with a
-//     default case is non-blocking and allowed — that is the hub's
+//     default case is non-blocking and allowed — that is the mem hub's
 //     sanctioned lossy-send idiom)
 //   - select statements without a default case
 //   - sync.WaitGroup.Wait and sync.Cond.Wait

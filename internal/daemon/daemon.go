@@ -1,15 +1,16 @@
-// Package daemon runs one EVS ring process over a real network
-// transport: the deployable unit behind cmd/evsd. A Daemon wires the
-// protocol state machine (internal/node) to a UDP or TCP transport
-// (internal/transport), drives its timers from the wall clock, exposes
+// Package daemon runs one EVS ring process on the wall clock: the
+// deployable unit behind cmd/evsd, and every process of the root
+// package's LiveGroup. A Daemon wires the protocol state machine
+// (internal/node) to a medium from internal/transport (UDP, TCP or the
+// in-process hub), drives its timers from the wall clock, exposes
 // the process's metrics over HTTP, and persists the formal-model event
 // trace to disk as JSONL — so a multi-process run can be certified
 // post-hoc by merging every process's trace and running the
 // specification checker over the interleaving (Certify).
 //
 // The package is importable so deployments can be assembled in-process
-// for tests (a 4-daemon cluster over loopback sockets) exactly as
-// cmd/evsd assembles one per OS process.
+// (a 4-daemon cluster over loopback sockets or the in-process hub)
+// exactly as cmd/evsd assembles one per OS process.
 package daemon
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,12 +31,14 @@ import (
 
 // Config assembles one daemon.
 type Config struct {
-	// Self is this process; Peers maps every ring member — including
-	// Self — to its transport address.
-	Self  model.ProcessID
-	Peers map[model.ProcessID]string
-	// Network selects the medium: "udp" (default) or "tcp".
-	Network string
+	// Self is this process.
+	Self model.ProcessID
+	// Medium opens the process's transport around the daemon's receive
+	// handler, counting traffic on the daemon's scope: transport.Dial
+	// for UDP or TCP, or a transport.MemHub's Attach for the in-process
+	// medium. An embedder may wrap the handler (a partition filter, say)
+	// before handing it to the transport.
+	Medium func(h transport.Handler, met *obs.Metrics) (transport.Transport, error)
 	// Node overrides protocol timing; nil uses DefaultNetConfig.
 	Node *node.Config
 	// TracePath, when non-empty, persists the formal-model event trace
@@ -44,14 +46,13 @@ type Config struct {
 	TracePath string
 
 	// OnDeliver, OnConfig and TraceSink are in-process hooks for
-	// embedding the daemon (the root package's net-backed Cluster, or a
-	// test). They run on the protocol path under the daemon's lock:
-	// don't block, don't call back into the daemon. TraceSink receives
-	// each formal-model event with its unix-nano timestamp, in addition
-	// to (and independent of) TracePath.
+	// embedding the daemon (the root package's LiveGroup, or a test).
+	// They run on the protocol path under the daemon's lock: don't
+	// block, don't call back into the daemon. TraceSink receives each
+	// formal-model event, in addition to (and independent of) TracePath.
 	OnDeliver func(node.Delivery)
 	OnConfig  func(node.ConfigChange)
-	TraceSink func(int64, model.Event)
+	TraceSink func(model.Event)
 }
 
 // DefaultNetConfig returns protocol timing suited to real sockets on a
@@ -69,7 +70,7 @@ func DefaultNetConfig() node.Config {
 	return cfg
 }
 
-// Daemon is one ring process over a real transport.
+// Daemon is one ring process over a transport.
 type Daemon struct {
 	id    model.ProcessID
 	start time.Time
@@ -79,10 +80,10 @@ type Daemon struct {
 
 	onDeliver func(node.Delivery)
 	onConfig  func(node.ConfigChange)
-	traceSink func(int64, model.Event)
+	traceSink func(model.Event)
 
 	mu     sync.Mutex // guards node entry points, timers, state below
-	n      *node.Node
+	n      *node.Node // nil until New has opened the medium
 	timers map[node.TimerKind]*time.Timer
 	dead   bool
 
@@ -99,6 +100,9 @@ var _ node.Host = (*Daemon)(nil)
 // New assembles and starts a daemon: transport bound, node started, ring
 // formation under way.
 func New(cfg Config) (*Daemon, error) {
+	if cfg.Medium == nil {
+		return nil, fmt.Errorf("daemon: no medium for %s", cfg.Self)
+	}
 	d := &Daemon{
 		id:        cfg.Self,
 		start:     time.Now(), //lint:allow determinism daemon uptime anchor; feeds metrics labels only, never protocol state
@@ -116,29 +120,17 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.trace = tw
 	}
+	// The medium may deliver before the node exists (a running peer's
+	// datagram reaches a freshly bound socket): such a message is
+	// dropped, like one lost on the wire.
 	handler := func(from model.ProcessID, msg wire.Message) {
 		d.mu.Lock()
-		if !d.dead {
+		if d.n != nil && !d.dead {
 			d.n.OnMessage(from, msg)
 		}
 		d.mu.Unlock()
 	}
-	var (
-		tr  transport.Transport
-		err error
-	)
-	switch cfg.Network {
-	case "", "udp":
-		tr, err = transport.NewUDP(transport.UDPConfig{
-			Self: cfg.Self, Peers: cfg.Peers, Handler: handler, Met: d.met,
-		})
-	case "tcp":
-		tr, err = transport.NewTCP(transport.TCPConfig{
-			Self: cfg.Self, Peers: cfg.Peers, Handler: handler, Met: d.met,
-		})
-	default:
-		err = fmt.Errorf("daemon: unknown network %q", cfg.Network)
-	}
+	tr, err := cfg.Medium(handler, d.met)
 	if err != nil {
 		if d.trace != nil {
 			d.trace.Close()
@@ -150,9 +142,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Node != nil {
 		nodeCfg = *cfg.Node
 	}
+	d.mu.Lock()
 	d.n = node.New(cfg.Self, nodeCfg, tr, d, &stable.Store{})
 	d.n.SetMetrics(d.met)
-	d.mu.Lock()
 	d.n.Start()
 	d.mu.Unlock()
 	return d, nil
@@ -218,15 +210,11 @@ func (d *Daemon) DeliverConfig(c node.ConfigChange) {
 // with wall-clock time, for post-hoc merge and certification, and to the
 // in-process sink when one is registered.
 func (d *Daemon) Trace(e model.Event) {
-	if d.trace == nil && d.traceSink == nil {
-		return
-	}
-	t := time.Now().UnixNano() //lint:allow determinism trace timestamps exist for post-hoc cross-daemon merge, not protocol decisions
 	if d.trace != nil {
-		_ = d.trace.Append(t, e)
+		_ = d.trace.Append(time.Now().UnixNano(), e) //lint:allow determinism trace timestamps exist for post-hoc cross-daemon merge, not protocol decisions
 	}
 	if d.traceSink != nil {
-		d.traceSink(t, e)
+		d.traceSink(e)
 	}
 }
 
@@ -238,6 +226,27 @@ func (d *Daemon) Submit(payload []byte, svc model.Service) error {
 		return transport.ErrClosed
 	}
 	return d.n.Submit(payload, svc)
+}
+
+// Crash fails the process as the fault model has it: the node stops,
+// keeps its stable storage, and ignores messages, timers and submits
+// until Recover. The transport stays open.
+func (d *Daemon) Crash() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.dead {
+		d.n.Crash()
+	}
+}
+
+// Recover restarts a crashed process from its stable storage under the
+// same identifier.
+func (d *Daemon) Recover() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.dead {
+		d.n.Recover()
+	}
 }
 
 // Status is a point-in-time view of the daemon, also served as JSON on
@@ -317,20 +326,9 @@ func (d *Daemon) Configs() []model.Configuration {
 // /metrics (JSON with ?format=json or /metrics.json), status on /status.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cs := obs.Cluster(d.met)
-		if r.URL.Query().Get("format") == "json" || strings.HasSuffix(r.URL.Path, ".json") {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(obs.ExpvarMap(cs))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, cs)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(obs.ExpvarMap(obs.Cluster(d.met)))
-	})
+	metrics := obs.MetricsHandler(func() obs.ClusterSnapshot { return obs.Cluster(d.met) })
+	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics.json", metrics)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.Status())

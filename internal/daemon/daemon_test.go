@@ -3,7 +3,6 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -11,6 +10,9 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // testNetConfig is the deployment timing profile scaled down for tests:
@@ -28,38 +30,16 @@ func testNetConfig() *node.Config {
 	return &cfg
 }
 
-// reserveAddrs picks free loopback ports for each process.
-func reserveAddrs(t *testing.T, ids []model.ProcessID, network string) map[model.ProcessID]string {
-	t.Helper()
-	addrs := make(map[model.ProcessID]string, len(ids))
-	for _, id := range ids {
-		switch network {
-		case "udp":
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatalf("reserve udp addr: %v", err)
-			}
-			addrs[id] = conn.LocalAddr().String()
-			conn.Close()
-		case "tcp":
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("reserve tcp addr: %v", err)
-			}
-			addrs[id] = ln.Addr().String()
-			ln.Close()
-		}
-	}
-	return addrs
-}
-
 func startCluster(t *testing.T, network string, n int, traceDir string) ([]model.ProcessID, map[model.ProcessID]*Daemon, []string) {
 	t.Helper()
 	var ids []model.ProcessID
 	for i := 0; i < n; i++ {
 		ids = append(ids, model.ProcessID(fmt.Sprintf("p%02d", i+1)))
 	}
-	addrs := reserveAddrs(t, ids, network)
+	addrs, err := transport.ReserveLoopback(ids, network)
+	if err != nil {
+		t.Fatal(err)
+	}
 	daemons := make(map[model.ProcessID]*Daemon, n)
 	var traces []string
 	for _, id := range ids {
@@ -69,7 +49,10 @@ func startCluster(t *testing.T, network string, n int, traceDir string) ([]model
 			traces = append(traces, trace)
 		}
 		d, err := New(Config{
-			Self: id, Peers: addrs, Network: network,
+			Self: id,
+			Medium: func(h transport.Handler, met *obs.Metrics) (transport.Transport, error) {
+				return transport.Dial(network, id, addrs, h, met)
+			},
 			Node: testNetConfig(), TracePath: trace,
 		})
 		if err != nil {
@@ -248,6 +231,39 @@ func TestTCPRingFormsAndDelivers(t *testing.T) {
 		for _, v := range vs {
 			t.Errorf("spec violation %s: %s", v.Spec, v.Msg)
 		}
+	}
+}
+
+// TestMessageBeforeNodeIsDropped pins the daemon's start-up order: a
+// medium may deliver a message before New has created the node (a
+// running peer's datagram reaching a freshly bound socket). The medium
+// here does so deterministically, from its own goroutine, before its
+// constructor returns; the daemon must drop the message, not
+// dereference a nil node, and then form its ring as usual.
+func TestMessageBeforeNodeIsDropped(t *testing.T) {
+	hub := transport.NewMemHub([]model.ProcessID{"p01"}, nil)
+	d, err := New(Config{
+		Self: "p01",
+		Medium: func(h transport.Handler, met *obs.Metrics) (transport.Transport, error) {
+			early := make(chan struct{})
+			go func() {
+				defer close(early)
+				h("p02", wire.Data{ID: model.MessageID{Sender: "p02", SenderSeq: 1}, Payload: []byte("early")})
+			}()
+			<-early
+			return hub.Attach("p01", h, met)
+		},
+		Node: testNetConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if !d.WaitOperational([]model.ProcessID{"p01"}, 5*time.Second) {
+		t.Fatalf("daemon never formed its singleton ring; status %+v", d.Status())
+	}
+	if n := d.Deliveries(); n != 0 {
+		t.Fatalf("the early message was delivered (%d deliveries)", n)
 	}
 }
 

@@ -190,12 +190,12 @@ func Figure6(seed int64) Fig6Result {
 
 	res := Fig6Result{ConfigSeqs: make(map[evs.ProcessID][]string)}
 	for _, id := range ids {
-		for _, ce := range g.ConfigEvents(id) {
+		for _, ce := range g.ConfigChanges(id) {
 			res.ConfigSeqs[id] = append(res.ConfigSeqs[id], ce.Config.String())
 		}
 	}
 	qr := func(id evs.ProcessID) bool {
-		seq := g.ConfigEvents(id)
+		seq := g.ConfigChanges(id)
 		if len(seq) < 3 {
 			return false
 		}
@@ -208,7 +208,7 @@ func Figure6(seed int64) Fig6Result {
 			last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet("q", "r", "s", "t"))
 	}
 	res.QRTransitional = qr("q") && qr("r")
-	pseq := g.ConfigEvents("p")
+	pseq := g.ConfigChanges("p")
 	if n := len(pseq); n >= 2 {
 		last, tr := pseq[n-1].Config, pseq[n-2].Config
 		res.PIsolated = last.ID.IsRegular() && last.Members.Equal(evs.NewProcessSet("p")) &&

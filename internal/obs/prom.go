@@ -2,10 +2,29 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
+	"strings"
 )
+
+// MetricsHandler serves a snapshot taken per request: the Prometheus
+// text exposition format by default, or the ExpvarMap JSON document when
+// the request has format=json or a path ending in ".json".
+func MetricsHandler(snapshot func() ClusterSnapshot) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cs := snapshot()
+		if r.URL.Query().Get("format") == "json" || strings.HasSuffix(r.URL.Path, ".json") {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(ExpvarMap(cs))
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WritePrometheus(w, cs)
+	})
+}
 
 // WritePrometheus renders a cluster snapshot in the Prometheus text
 // exposition format (version 0.0.4). Every series carries a proc label

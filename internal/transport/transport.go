@@ -1,10 +1,10 @@
-// Package transport carries encoded protocol messages over real network
-// media. It is the boundary the in-process runtimes never crossed: the
-// simulator and the live hub hand shared Go structs to every receiver,
-// while a Transport here serialises each broadcast through the
-// internal/wire binary codec and moves bytes through real sockets — UDP
+// Package transport carries protocol messages between the processes of
+// a cluster. The socket transports serialise each broadcast through the
+// internal/wire binary codec and move bytes through real sockets — UDP
 // unicast fan-out (the LAN profile, lossy like the hardware broadcast
-// Totem ran on) or a TCP mesh fallback (for networks that eat UDP).
+// Totem ran on) or a TCP mesh fallback (for networks that eat UDP). The
+// in-process MemHub is the same boundary without the codec: it hands the
+// immutable message values to every receiver, as the simulator does.
 //
 // A Transport implements the medium half of node.Env (node.Transport)
 // plus addressing: unicast, the configured peer set, and shutdown. The
@@ -23,6 +23,8 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"net"
 
 	"repro/internal/model"
 	"repro/internal/node"
@@ -57,6 +59,55 @@ type Transport interface {
 
 // ErrClosed reports an operation on a closed transport.
 var ErrClosed = errors.New("transport: closed")
+
+// Dial opens a socket transport for self: network "udp" (also the
+// empty string) or "tcp", with every member's address in peers.
+func Dial(network string, self model.ProcessID, peers map[model.ProcessID]string, h Handler, met *obs.Metrics) (Transport, error) {
+	switch network {
+	case "", "udp":
+		t, err := NewUDP(UDPConfig{Self: self, Peers: peers, Handler: h, Met: met})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	case "tcp":
+		t, err := NewTCP(TCPConfig{Self: self, Peers: peers, Handler: h, Met: met})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	return nil, fmt.Errorf("transport: unknown network %q", network)
+}
+
+// ReserveLoopback picks a free loopback address per process for Dial by
+// binding and releasing a port. Another program may take a port in the
+// gap before the transport binds it; in-process clusters and tests
+// accept that.
+func ReserveLoopback(ids []model.ProcessID, network string) (map[model.ProcessID]string, error) {
+	addrs := make(map[model.ProcessID]string, len(ids))
+	for _, id := range ids {
+		switch network {
+		case "", "udp":
+			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				return nil, fmt.Errorf("transport: reserve udp port: %w", err)
+			}
+			addrs[id] = conn.LocalAddr().String()
+			conn.Close()
+		case "tcp":
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return nil, fmt.Errorf("transport: reserve tcp port: %w", err)
+			}
+			addrs[id] = ln.Addr().String()
+			ln.Close()
+		default:
+			return nil, fmt.Errorf("transport: unknown network %q", network)
+		}
+	}
+	return addrs, nil
+}
 
 // A frame is one message on the medium:
 //

@@ -54,69 +54,73 @@ func testData(payload string) wire.Data {
 	}
 }
 
-// kind abstracts the two real transports for the shared conformance tests.
-type maker func(t *testing.T, self model.ProcessID, peers map[model.ProcessID]string,
-	h Handler, met *obs.Metrics) (Transport, string)
+// medium opens the members of one cluster for the shared conformance
+// tests: it returns an opener that attaches one member, with its
+// handler and scope, to a medium spanning every id.
+type medium func(t *testing.T, ids []model.ProcessID) opener
 
-func makeUDP(t *testing.T, self model.ProcessID, peers map[model.ProcessID]string,
-	h Handler, met *obs.Metrics) (Transport, string) {
-	t.Helper()
-	tr, err := NewUDP(UDPConfig{Self: self, Peers: peers, Handler: h, Met: met})
-	if err != nil {
-		t.Fatalf("NewUDP(%s): %v", self, err)
-	}
-	return tr, tr.Addr()
-}
+type opener func(self model.ProcessID, h Handler, met *obs.Metrics) Transport
 
-func makeTCP(t *testing.T, self model.ProcessID, peers map[model.ProcessID]string,
-	h Handler, met *obs.Metrics) (Transport, string) {
-	t.Helper()
-	tr, err := NewTCP(TCPConfig{Self: self, Peers: peers, Handler: h, Met: met})
-	if err != nil {
-		t.Fatalf("NewTCP(%s): %v", self, err)
-	}
-	return tr, tr.Addr()
-}
-
-// buildMesh starts n transports on loopback with each other as peers.
-// Each transport is created with ":0" for unknown peers first, then we
-// need real addresses up front — so bind in two passes: reserve
-// addresses by binding, close, rebind. Simpler: bind each transport with
-// only itself at ":0", which transports don't support. Instead, pre-pick
-// ports by binding throwaway listeners.
-func reserveAddrs(t *testing.T, ids []model.ProcessID, network string) map[model.ProcessID]string {
-	t.Helper()
-	addrs := make(map[model.ProcessID]string, len(ids))
-	for _, id := range ids {
-		switch network {
-		case "udp":
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+// socketMedium is a medium over loopback sockets of the given network.
+func socketMedium(network string) medium {
+	return func(t *testing.T, ids []model.ProcessID) opener {
+		t.Helper()
+		addrs, err := ReserveLoopback(ids, network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(self model.ProcessID, h Handler, met *obs.Metrics) Transport {
+			tr, err := Dial(network, self, addrs, h, met)
 			if err != nil {
-				t.Fatalf("reserve udp addr: %v", err)
+				t.Fatalf("Dial(%s, %s): %v", network, self, err)
 			}
-			addrs[id] = conn.LocalAddr().String()
-			conn.Close()
-		case "tcp":
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("reserve tcp addr: %v", err)
-			}
-			addrs[id] = ln.Addr().String()
-			ln.Close()
+			return tr
 		}
 	}
-	return addrs
 }
 
-func testBroadcastReachesAll(t *testing.T, network string, mk maker) {
+// memMedium is a medium over one in-process hub.
+func memMedium(t *testing.T, ids []model.ProcessID) opener {
+	hub := NewMemHub(ids, obs.New("net", nil))
+	return func(self model.ProcessID, h Handler, met *obs.Metrics) Transport {
+		tr, err := hub.Attach(self, h, met)
+		if err != nil {
+			t.Fatalf("Attach(%s): %v", self, err)
+		}
+		return tr
+	}
+}
+
+var (
+	udpMedium = socketMedium("udp")
+	tcpMedium = socketMedium("tcp")
+)
+
+// openUDP starts a lone UDP transport on loopback and returns it with
+// its bound address.
+func openUDP(t *testing.T, cfg UDPConfig) (*UDP, string) {
+	t.Helper()
+	addrs, err := ReserveLoopback([]model.ProcessID{cfg.Self}, "udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Peers = addrs
+	tr, err := NewUDP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, tr.Addr()
+}
+
+func testBroadcastReachesAll(t *testing.T, m medium) {
 	ids := []model.ProcessID{"p1", "p2", "p3"}
-	addrs := reserveAddrs(t, ids, network)
+	open := m(t, ids)
 	sinks := make(map[model.ProcessID]*sink, len(ids))
 	trs := make(map[model.ProcessID]Transport, len(ids))
 	for _, id := range ids {
 		s := &sink{}
 		sinks[id] = s
-		tr, _ := mk(t, id, addrs, s.handle, obs.New(string(id), nil))
+		tr := open(id, s.handle, obs.New(string(id), nil))
 		trs[id] = tr
 		defer tr.Close()
 	}
@@ -138,15 +142,15 @@ func testBroadcastReachesAll(t *testing.T, network string, mk maker) {
 	}
 }
 
-func testUnicastReachesOne(t *testing.T, network string, mk maker) {
+func testUnicastReachesOne(t *testing.T, m medium) {
 	ids := []model.ProcessID{"p1", "p2", "p3"}
-	addrs := reserveAddrs(t, ids, network)
+	open := m(t, ids)
 	sinks := make(map[model.ProcessID]*sink, len(ids))
 	trs := make(map[model.ProcessID]Transport, len(ids))
 	for _, id := range ids {
 		s := &sink{}
 		sinks[id] = s
-		tr, _ := mk(t, id, addrs, s.handle, obs.New(string(id), nil))
+		tr := open(id, s.handle, obs.New(string(id), nil))
 		trs[id] = tr
 		defer tr.Close()
 	}
@@ -162,11 +166,10 @@ func testUnicastReachesOne(t *testing.T, network string, mk maker) {
 	}
 }
 
-func testPeersSorted(t *testing.T, network string, mk maker) {
+func testPeersSorted(t *testing.T, m medium) {
 	ids := []model.ProcessID{"p3", "p1", "p2"}
-	addrs := reserveAddrs(t, ids, network)
 	s := &sink{}
-	tr, _ := mk(t, "p1", addrs, s.handle, nil)
+	tr := m(t, ids)("p1", s.handle, nil)
 	defer tr.Close()
 	got := tr.Peers()
 	want := []model.ProcessID{"p1", "p2", "p3"}
@@ -180,12 +183,10 @@ func testPeersSorted(t *testing.T, network string, mk maker) {
 	}
 }
 
-func testCloseIdempotent(t *testing.T, network string, mk maker) {
-	ids := []model.ProcessID{"p1"}
-	addrs := reserveAddrs(t, ids, network)
+func testCloseIdempotent(t *testing.T, m medium) {
 	met := obs.New("p1", nil)
 	s := &sink{}
-	tr, _ := mk(t, "p1", addrs, s.handle, met)
+	tr := m(t, []model.ProcessID{"p1"})("p1", s.handle, met)
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -199,24 +200,60 @@ func testCloseIdempotent(t *testing.T, network string, mk maker) {
 	}
 }
 
-func TestUDPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "udp", makeUDP) }
-func TestTCPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, "tcp", makeTCP) }
-func TestUDPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "udp", makeUDP) }
-func TestTCPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, "tcp", makeTCP) }
-func TestUDPPeersSorted(t *testing.T)         { testPeersSorted(t, "udp", makeUDP) }
-func TestTCPPeersSorted(t *testing.T)         { testPeersSorted(t, "tcp", makeTCP) }
-func TestUDPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "udp", makeUDP) }
-func TestTCPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, "tcp", makeTCP) }
+func TestUDPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, udpMedium) }
+func TestTCPBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, tcpMedium) }
+func TestMemBroadcastReachesAll(t *testing.T) { testBroadcastReachesAll(t, memMedium) }
+func TestUDPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, udpMedium) }
+func TestTCPUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, tcpMedium) }
+func TestMemUnicastReachesOne(t *testing.T)   { testUnicastReachesOne(t, memMedium) }
+func TestUDPPeersSorted(t *testing.T)         { testPeersSorted(t, udpMedium) }
+func TestTCPPeersSorted(t *testing.T)         { testPeersSorted(t, tcpMedium) }
+func TestMemPeersSorted(t *testing.T)         { testPeersSorted(t, memMedium) }
+func TestUDPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, udpMedium) }
+func TestTCPCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, tcpMedium) }
+func TestMemCloseIdempotent(t *testing.T)     { testCloseIdempotent(t, memMedium) }
+
+// TestMemFullInboxDrops fills a member's inbox while its handler is
+// stalled: the broadcaster never blocks, and the overflow is counted as
+// a drop on the hub's scope.
+func TestMemFullInboxDrops(t *testing.T) {
+	ids := []model.ProcessID{"p1", "p2"}
+	hubMet := obs.New("net", nil)
+	hub := NewMemHub(ids, hubMet)
+	release := make(chan struct{})
+	stalled, err := hub.Attach("p2", func(model.ProcessID, wire.Message) { <-release }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sink{}
+	tr, err := hub.Attach("p1", s.handle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 0; i < memInbox+10; i++ {
+		tr.Unicast("p2", testData("x"))
+	}
+	if d := hubMet.Counter(obs.CNetDropped); d < 9 {
+		t.Errorf("net dropped = %d, want the overflow counted", d)
+	}
+	close(release)
+	stalled.Close()
+	if _, err := hub.Attach("p9", s.handle, nil); err == nil {
+		t.Error("a non-member attached to the hub")
+	}
+	if _, err := hub.Attach("p1", s.handle, nil); err == nil {
+		t.Error("p1 attached twice")
+	}
+}
 
 // TestUDPCorruptFrameCounted fires raw garbage and corrupted real frames
 // at a UDP transport's socket: every one must be counted as a decode
 // error and dropped, none may panic or reach the handler.
 func TestUDPCorruptFrameCounted(t *testing.T) {
-	ids := []model.ProcessID{"p1"}
-	addrs := reserveAddrs(t, ids, "udp")
 	met := obs.New("p1", nil)
 	s := &sink{}
-	tr, addr := makeUDP(t, "p1", addrs, s.handle, met)
+	tr, addr := openUDP(t, UDPConfig{Self: "p1", Handler: s.handle, Met: met})
 	defer tr.Close()
 
 	raddr, err := net.ResolveUDPAddr("udp", addr)
@@ -264,22 +301,30 @@ func TestUDPCorruptFrameCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A good frame still gets through afterwards.
+	// A good frame still gets through afterwards. Count before writing:
+	// the frame may be delivered before the write call returns.
+	before := s.count()
 	if _, err := conn.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	waitCount(t, s, s.count()+1)
+	waitCount(t, s, before+1)
 }
 
 // TestTCPCorruptFrameCounted writes a corrupt length-prefixed frame to a
 // TCP transport's listener: counted, dropped, no panic — and the
 // connection keeps working for subsequent well-formed frames.
 func TestTCPCorruptFrameCounted(t *testing.T) {
-	ids := []model.ProcessID{"p1"}
-	addrs := reserveAddrs(t, ids, "tcp")
 	met := obs.New("p1", nil)
 	s := &sink{}
-	tr, addr := makeTCP(t, "p1", addrs, s.handle, met)
+	addrs, err := ReserveLoopback([]model.ProcessID{"p1"}, "tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTCP(TCPConfig{Self: "p1", Peers: addrs, Handler: s.handle, Met: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tr.Addr()
 	defer tr.Close()
 
 	conn, err := net.Dial("tcp", addr)
@@ -322,16 +367,9 @@ func TestTCPCorruptFrameCounted(t *testing.T) {
 // the datagram ceiling: it must arrive as multiple smaller batches
 // covering the same messages, in order.
 func TestUDPOversizeBatchSplits(t *testing.T) {
-	ids := []model.ProcessID{"p1"}
-	addrs := reserveAddrs(t, ids, "udp")
 	met := obs.New("p1", nil)
 	s := &sink{}
-	tr, err := NewUDP(UDPConfig{
-		Self: "p1", Peers: addrs, Handler: s.handle, Met: met, MaxDatagram: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, _ := openUDP(t, UDPConfig{Self: "p1", Handler: s.handle, Met: met, MaxDatagram: 512})
 	defer tr.Close()
 
 	ring := model.ConfigID{Kind: model.Regular, Seq: 1, Rep: "p1"}
@@ -386,16 +424,9 @@ func TestUDPOversizeBatchSplits(t *testing.T) {
 // TestUDPOversizeSingleDropped broadcasts one unsplittable oversize
 // message: dropped and counted, not sent.
 func TestUDPOversizeSingleDropped(t *testing.T) {
-	ids := []model.ProcessID{"p1"}
-	addrs := reserveAddrs(t, ids, "udp")
 	met := obs.New("p1", nil)
 	s := &sink{}
-	tr, err := NewUDP(UDPConfig{
-		Self: "p1", Peers: addrs, Handler: s.handle, Met: met, MaxDatagram: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, _ := openUDP(t, UDPConfig{Self: "p1", Handler: s.handle, Met: met, MaxDatagram: 128})
 	defer tr.Close()
 
 	big := testData(string(make([]byte, 4096)))
@@ -413,7 +444,10 @@ func TestUDPOversizeSingleDropped(t *testing.T) {
 // out advance on a delivered broadcast.
 func TestCountersMove(t *testing.T) {
 	ids := []model.ProcessID{"p1", "p2"}
-	addrs := reserveAddrs(t, ids, "udp")
+	addrs, err := ReserveLoopback(ids, "udp")
+	if err != nil {
+		t.Fatal(err)
+	}
 	mets := map[model.ProcessID]*obs.Metrics{}
 	sinks := map[model.ProcessID]*sink{}
 	for _, id := range ids {

@@ -13,14 +13,15 @@ const (
 	// RuntimeSim is the deterministic simulator (Group): virtual time,
 	// seeded schedules, reproducible executions. The default.
 	RuntimeSim Runtime = iota
-	// RuntimeLive is the in-process hub (LiveGroup): real goroutines and
-	// wall-clock timers, shared-memory message handoff.
+	// RuntimeLive runs one daemon per process (LiveGroup) over the
+	// in-process channel hub: real goroutines and wall-clock timers,
+	// shared-memory message handoff.
 	RuntimeLive
-	// RuntimeUDP runs one daemon per process over real loopback UDP
-	// sockets (NetGroup): every message crosses the wire codec and the
-	// kernel's network stack.
+	// RuntimeUDP is the same LiveGroup over real loopback UDP sockets:
+	// every message crosses the wire codec and the kernel's network
+	// stack.
 	RuntimeUDP
-	// RuntimeTCP is RuntimeUDP over the TCP mesh transport.
+	// RuntimeTCP is the same LiveGroup over the TCP mesh transport.
 	RuntimeTCP
 )
 
@@ -57,7 +58,7 @@ type Option func(*newConfig)
 func WithRuntime(r Runtime) Option { return func(c *newConfig) { c.runtime = r } }
 
 // WithProcesses names the processes explicitly (simulator runtime only;
-// the live and net runtimes generate p01..pNN).
+// the wall-clock runtimes generate p01..pNN).
 func WithProcesses(ids ...ProcessID) Option {
 	return func(c *newConfig) { c.processes = ids }
 }
@@ -87,10 +88,11 @@ func WithSimOptions(opts Options) Option {
 
 // New creates an EVS cluster behind the runtime-independent Cluster
 // interface: the deterministic simulator by default, or — selected with
-// WithRuntime — the in-process live hub or a real-socket loopback
-// deployment. Scenario control beyond the Cluster surface (partitions,
-// virtual-time scheduling, kills) stays on the concrete types; type-assert
-// to *Group, *LiveGroup or *NetGroup when a scenario needs it.
+// WithRuntime — a wall-clock LiveGroup over the in-process hub or
+// real loopback sockets. Scenario control beyond the Cluster surface
+// (partitions, crashes, virtual-time scheduling, kills) stays on the
+// concrete types; type-assert to *Group or *LiveGroup when a scenario
+// needs it.
 //
 //	c, err := evs.New(evs.WithNumProcesses(5), evs.WithRuntime(evs.RuntimeUDP))
 //	defer c.Close()
@@ -127,20 +129,15 @@ func New(opts ...Option) (Cluster, error) {
 			simOpts.Node = c.node
 		}
 		return NewGroup(simOpts), nil
-	case RuntimeLive:
-		if len(c.processes) > 0 {
-			return nil, fmt.Errorf("evs.New: the live runtime names processes p01..pNN; use WithNumProcesses")
-		}
-		return NewLiveGroup(n, c.node), nil
-	case RuntimeUDP, RuntimeTCP:
+	case RuntimeLive, RuntimeUDP, RuntimeTCP:
 		if len(c.processes) > 0 {
 			return nil, fmt.Errorf("evs.New: the %s runtime names processes p01..pNN; use WithNumProcesses", c.runtime)
 		}
-		network := "udp"
-		if c.runtime == RuntimeTCP {
-			network = "tcp"
+		network := c.runtime.String()
+		if c.runtime == RuntimeLive {
+			network = "mem"
 		}
-		return NewNetGroup(n, network, c.node)
+		return NewLiveGroup(n, network, c.node)
 	default:
 		return nil, fmt.Errorf("evs.New: unknown runtime %v", c.runtime)
 	}

@@ -111,9 +111,9 @@ func TestNewUDPRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g, ok := c.(*NetGroup)
+	g, ok := c.(*LiveGroup)
 	if !ok {
-		t.Fatalf("New() = %T, want *NetGroup", c)
+		t.Fatalf("New() = %T, want *LiveGroup", c)
 	}
 	ids := g.IDs()
 	if !g.WaitOperational(20 * time.Second) {
@@ -186,7 +186,7 @@ func TestNewTCPRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g := c.(*NetGroup)
+	g := c.(*LiveGroup)
 	if !g.WaitOperational(20 * time.Second) {
 		t.Fatal("TCP ring never formed")
 	}

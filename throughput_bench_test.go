@@ -7,9 +7,9 @@ import (
 )
 
 // The N1 experiment (EXPERIMENTS.md): end-to-end ordered-delivery
-// throughput of the same 4-process protocol stack on its three live
-// runtimes — the in-process channel hub, the UDP transport and the TCP
-// mesh, both on loopback. One process submits, the benchmark waits
+// throughput of the same 4-daemon LiveGroup on its three media — the
+// in-process mem hub, the UDP transport and the TCP mesh, both on
+// loopback. One process submits, the benchmark waits
 // until every process has delivered everything, so the measured rate is
 // the sequenced-and-delivered-everywhere rate, not the submission rate.
 //
